@@ -3,7 +3,7 @@
 //!
 //! B1: acceptable-step enumeration time vs number of events for the
 //! sub-clock chain and exclusion clique workloads (compiled path).
-//! B3 (ablation): pruned three-valued search vs naive 2^n enumeration.
+//! B3 (ablation): pruned truth-table search vs naive 2^n enumeration.
 //! B4 (compilation): queries on a compiled `Program` cursor vs
 //! recompiling the program on every query — the hot-path win of
 //! hoisting formula lowering out of the query loop.

@@ -1,4 +1,4 @@
-//! Analyses over explored state spaces: deadlock witnesses, liveness of
+//! Analyses over explored state spaces: deadlock witnesses, dead
 //! events, bounded reachability — the "validation" half of the paper's
 //! "simulation and analysis" promise.
 
@@ -108,100 +108,6 @@ pub fn dead_events(space: &StateSpace, universe: &moccml_kernel::Universe) -> Ve
     all.difference(&fired).iter().collect()
 }
 
-/// All events that are live in the explored fragment — the memoised
-/// all-events variant of [`is_event_live`], answering every event in
-/// one fixpoint instead of one full reachability scan per call.
-///
-/// An event is live iff from *every* state some state with an outgoing
-/// transition firing it stays reachable. Equivalently: the event
-/// belongs to `F(s)` for every state `s`, where `F(s)` is the set of
-/// events occurring on transitions forward-reachable from `s`. `F` is
-/// computed as one backward fixpoint over the transition graph with
-/// [`Step`] bitsets, so the cost is shared across all events of
-/// `universe` — callers that loop over events should use this instead
-/// of [`is_event_live`] per event.
-#[must_use]
-pub fn live_events(space: &StateSpace, universe: &moccml_kernel::Universe) -> Vec<EventId> {
-    let n = space.state_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    // reverse adjacency (deduplicated predecessor lists)
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut reach: Vec<Step> = vec![Step::new(); n];
-    for (src, step, dst) in space.transitions() {
-        preds[*dst].push(*src);
-        reach[*src] = reach[*src].union(step);
-    }
-    for p in &mut preds {
-        p.sort_unstable();
-        p.dedup();
-    }
-    // backward fixpoint: F(src) ⊇ F(dst) for every edge src → dst
-    let mut queue: VecDeque<usize> = (0..n).collect();
-    let mut queued = vec![true; n];
-    while let Some(state) = queue.pop_front() {
-        queued[state] = false;
-        let here = reach[state].clone();
-        for &p in &preds[state] {
-            let merged = reach[p].union(&here);
-            if merged != reach[p] {
-                reach[p] = merged;
-                if !queued[p] {
-                    queued[p] = true;
-                    queue.push_back(p);
-                }
-            }
-        }
-    }
-    // live = events in the intersection of every state's F
-    let everywhere = reach
-        .iter()
-        .skip(1)
-        .fold(reach[0].clone(), |acc, f| acc.intersection(f));
-    universe
-        .iter()
-        .filter(|e| everywhere.contains(*e))
-        .collect()
-}
-
-/// Whether every state of the explored fragment can still reach a state
-/// from which `event` fires (a weak liveness check; exact on fully
-/// explored spaces).
-///
-/// One full backward-reachability scan per call — when querying several
-/// events of one space, use [`live_events`] instead, which amortises
-/// the scan across the whole universe.
-#[must_use]
-pub fn is_event_live(space: &StateSpace, event: EventId) -> bool {
-    // states with an outgoing transition firing `event`
-    let fire_states: Vec<usize> = space
-        .transitions()
-        .iter()
-        .filter(|(_, step, _)| step.contains(event))
-        .map(|(src, _, _)| *src)
-        .collect();
-    if fire_states.is_empty() {
-        return false;
-    }
-    // backward reachability from fire_states
-    let n = space.state_count();
-    let mut can_reach = vec![false; n];
-    let mut queue: VecDeque<usize> = fire_states.into_iter().collect();
-    for &s in &queue {
-        can_reach[s] = true;
-    }
-    while let Some(state) = queue.pop_front() {
-        for (src, _, dst) in space.transitions() {
-            if *dst == state && !can_reach[*src] {
-                can_reach[*src] = true;
-                queue.push_back(*src);
-            }
-        }
-    }
-    can_reach.iter().all(|&r| r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,34 +129,13 @@ mod tests {
     }
 
     #[test]
-    fn live_cycle_has_no_witness_and_live_events() {
+    fn live_cycle_has_no_witness_and_no_dead_events() {
         let (spec, a, b) = alternating();
         let space = explore(&spec, &ExploreOptions::default());
         assert!(deadlock_witness(&space).is_none());
-        assert!(is_event_live(&space, a));
-        assert!(is_event_live(&space, b));
+        assert!(is_event_fireable(&space, a));
+        assert!(is_event_fireable(&space, b));
         assert!(dead_events(&space, spec.universe()).is_empty());
-        assert_eq!(live_events(&space, spec.universe()), vec![a, b]);
-    }
-
-    #[test]
-    fn live_events_agrees_with_per_event_scans() {
-        // a wedgeable spec: some events live, some not
-        let mut u = Universe::new();
-        let (a, b, c) = (u.event("a"), u.event("b"), u.event("c"));
-        let mut spec = Specification::new("wedge", u);
-        spec.add_constraint(Box::new(Precedence::strict("a<b", a, b).with_bound(1)));
-        spec.add_constraint(Box::new(Precedence::strict("c<b", c, b)));
-        spec.add_constraint(Box::new(Precedence::strict("b<c", b, c)));
-        let space = explore(&spec, &ExploreOptions::default());
-        let live = live_events(&space, spec.universe());
-        for e in spec.universe().iter() {
-            assert_eq!(
-                live.contains(&e),
-                is_event_live(&space, e),
-                "event {e} disagrees"
-            );
-        }
     }
 
     #[test]
@@ -284,7 +169,7 @@ mod tests {
         let dead = dead_events(&space, spec.universe());
         assert_eq!(dead.len(), 2);
         assert!(!is_event_fireable(&space, a));
-        assert!(!is_event_live(&space, b));
+        assert!(!is_event_fireable(&space, b));
     }
 
     #[test]

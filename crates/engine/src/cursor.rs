@@ -4,33 +4,41 @@
 //! A cursor owns exactly the state one execution needs — a clone of
 //! the constraint vector plus, per constraint, the currently selected
 //! lowered formula — and borrows everything immutable (event interning,
-//! footprints, the formula memo) from its [`Program`](crate::Program).
-//! Cursors are therefore cheap to create and fully independent: the
-//! parallel explorer hands one to every worker thread, and all of them
-//! share every formula-lowering cache hit through the program's
-//! sharded memo.
+//! footprints, the solver's search plan, the formula memo) from its
+//! [`Program`](crate::Program). Cursors are therefore cheap to create
+//! and fully independent: the parallel explorer hands one to every
+//! worker thread, and all of them share every formula-lowering cache
+//! hit through the program's sharded memo.
 //!
 //! Each cursor keeps a small L1 cache in front of the shared memo
 //! (one map per constraint), so a `(constraint, state)` pair locks a
 //! memo shard only the first time *this cursor* meets it — re-visits,
 //! the overwhelmingly common case in breadth-first exploration, are
 //! lock-free.
+//!
+//! [`Cursor::expand`] generates successors *touched-only*: it restores
+//! the expanded state once, then per step fires just the constraints
+//! whose footprint meets the step (every other constraint stutters, by
+//! the [`Constraint`](moccml_kernel::Constraint) contract), splices
+//! their new local keys into the parent key, and restores those
+//! constraints from the saved local keys. It leaves the cursor at the
+//! expanded state.
 
 use crate::explorer::{explore_program, ExploreOptions, StateSpace};
 use crate::program::Program;
-use crate::solver::{enumerate_steps, SolverOptions};
-use moccml_kernel::{EventId, KernelError, Specification, StateKey, Step, StepFormula};
+use crate::solver::{enumerate_steps, Lowered, SolverOptions};
+use moccml_kernel::{EventId, KernelError, Specification, StateKey, Step};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One constraint's run state inside a cursor: its local state key,
-/// the lowered formula selected for that state, and the cursor-local
-/// L1 cache over the program's shared memo.
+/// One constraint's run state inside a cursor: its local state key and
+/// the cursor-local L1 cache over the program's shared memo. The
+/// formula selected for that state lives in [`Cursor::formulas`], so
+/// the solver reads one contiguous slice.
 #[derive(Debug, Clone)]
 struct Slot {
     key: StateKey,
-    formula: Arc<StepFormula>,
-    l1: HashMap<StateKey, Arc<StepFormula>>,
+    l1: HashMap<StateKey, Arc<Lowered>>,
 }
 
 /// A mutable execution position over a compiled [`Program`].
@@ -66,6 +74,8 @@ pub struct Cursor {
     program: Arc<Program>,
     spec: Specification,
     slots: Vec<Slot>,
+    /// Per constraint, the memoised formula of its current state.
+    formulas: Vec<Arc<Lowered>>,
     memo_hits: u64,
     memo_misses: u64,
 }
@@ -73,19 +83,22 @@ pub struct Cursor {
 impl Cursor {
     pub(crate) fn new(program: Arc<Program>) -> Self {
         let spec = program.specification().clone();
-        let slots = program
+        let (slots, formulas) = program
             .initial_slots()
             .iter()
-            .map(|(key, formula)| Slot {
-                key: key.clone(),
-                formula: Arc::clone(formula),
-                l1: HashMap::from([(key.clone(), Arc::clone(formula))]),
+            .map(|(key, formula)| {
+                let slot = Slot {
+                    key: key.clone(),
+                    l1: HashMap::from([(key.clone(), Arc::clone(formula))]),
+                };
+                (slot, Arc::clone(formula))
             })
-            .collect();
+            .unzip();
         Cursor {
             program,
             spec,
             slots,
+            formulas,
             memo_hits: 0,
             memo_misses: 0,
         }
@@ -132,15 +145,14 @@ impl Cursor {
     /// result is sorted by the `Ord` on [`Step`].
     #[must_use]
     pub fn acceptable_steps(&self, options: &SolverOptions) -> Vec<Step> {
-        let formulas: Vec<&StepFormula> = self.slots.iter().map(|s| s.formula.as_ref()).collect();
-        enumerate_steps(&formulas, self.program.constrained_events(), options)
+        enumerate_steps(&self.formulas, self.program.plan(), options)
     }
 
     /// Whether `step` satisfies every constraint in the current state —
     /// evaluated on the cached formulas, without lowering.
     #[must_use]
     pub fn accepts(&self, step: &Step) -> bool {
-        self.slots.iter().all(|s| s.formula.eval(step))
+        self.formulas.iter().all(|f| f.formula.eval(step))
     }
 
     /// Names of the constraints whose current formula rejects `step`,
@@ -149,10 +161,10 @@ impl Cursor {
     /// recorded schedule violates at a step, not just that one does.
     #[must_use]
     pub fn violated_constraints(&self, step: &Step) -> Vec<String> {
-        self.slots
+        self.formulas
             .iter()
             .zip(self.spec.constraints())
-            .filter(|(slot, _)| !slot.formula.eval(step))
+            .filter(|(f, _)| !f.formula.eval(step))
             .map(|(_, c)| c.name().to_owned())
             .collect()
     }
@@ -166,8 +178,7 @@ impl Cursor {
     /// constrained events. Sorted by the `Ord` on [`Step`].
     #[must_use]
     pub fn acceptable_steps_over(&self, events: &[EventId], options: &SolverOptions) -> Vec<Step> {
-        let formulas: Vec<&StepFormula> = self.slots.iter().map(|s| s.formula.as_ref()).collect();
-        enumerate_steps(&formulas, events, options)
+        enumerate_steps(&self.formulas, &self.program.plan_over(events), options)
     }
 
     /// Fires `step` and refreshes the slots of the constraints whose
@@ -184,21 +195,9 @@ impl Cursor {
     /// or [`restore`](Cursor::restore).
     pub fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
         self.spec.fire(step)?;
-        let Self {
-            program,
-            spec,
-            slots,
-            memo_hits,
-            memo_misses,
-        } = self;
-        let footprints = program.footprints();
-        for (i, (slot, c)) in slots.iter_mut().zip(spec.constraints()).enumerate() {
-            if !footprints[i].is_disjoint_from(step) {
-                tally(
-                    refresh(program, i, slot, c.as_ref()),
-                    memo_hits,
-                    memo_misses,
-                );
+        for i in 0..self.slots.len() {
+            if !self.program.footprints()[i].is_disjoint_from(step) {
+                self.refresh(i);
             }
         }
         Ok(())
@@ -256,12 +255,16 @@ impl Cursor {
     }
 
     /// Expands one state: restores `key`, enumerates its acceptable
-    /// non-empty-capable steps under `solver`, and fires each to learn
-    /// the successor key. Steps come back in canonical ([`Step`] `Ord`)
-    /// order, which is what the explorer's determinism contract rests
-    /// on. The cursor is left in the state of the last fired step (or
-    /// `key` itself for a deadlock); callers that care should
-    /// [`restore`](Cursor::restore) afterwards.
+    /// steps under `solver`, and learns each step's successor key.
+    /// Steps come back in canonical ([`Step`] `Ord`) order, which is
+    /// what the explorer's determinism contract rests on. Each
+    /// successor key equals what [`restore`](Cursor::restore) +
+    /// [`fire`](Cursor::fire) + [`state_key`](Cursor::state_key) would
+    /// give, but only the constraints whose footprint meets the step are
+    /// fired: every other constraint stutters, by the
+    /// [`Constraint`](moccml_kernel::Constraint) contract. Their new
+    /// local keys are spliced into the parent key, and they are
+    /// restored from the saved local keys. The cursor is left at `key`.
     ///
     /// # Errors
     ///
@@ -274,11 +277,43 @@ impl Cursor {
     ) -> Result<StateExpansion, KernelError> {
         self.restore(key)?;
         let steps = self.acceptable_steps(solver);
+        // the parent key, rebuilt from the slots so it is exactly what
+        // `state_key` reports, and where each local key starts in it
+        let mut parent = Vec::with_capacity(key.len());
+        let mut starts = Vec::with_capacity(self.slots.len());
+        for slot in &self.slots {
+            parent.push(length_prefix(&slot.key));
+            starts.push(parent.len());
+            parent.extend_from_slice(slot.key.values());
+        }
+        let mut fired: Vec<(usize, StateKey)> = Vec::new();
         let mut succs = Vec::with_capacity(steps.len());
         for step in steps {
-            self.restore(key)?;
-            self.fire(&step).expect("solver returns acceptable steps");
-            succs.push((step, self.state_key()));
+            fired.clear();
+            for (i, footprint) in self.program.footprints().iter().enumerate() {
+                if footprint.is_disjoint_from(&step) {
+                    continue;
+                }
+                let c = self.spec.constraint_mut(i);
+                c.fire(&step).expect("solver returns acceptable steps");
+                fired.push((i, c.state_key()));
+                c.restore(&self.slots[i].key)
+                    .expect("a constraint restores its own key");
+            }
+            let len = fired.iter().fold(parent.len(), |len, (i, local)| {
+                len + local.len() - self.slots[*i].key.len()
+            });
+            let mut succ = Vec::with_capacity(len);
+            let mut copied = 0;
+            for (i, local) in &fired {
+                let start = starts[*i];
+                succ.extend_from_slice(&parent[copied..start - 1]);
+                succ.push(length_prefix(local));
+                succ.extend_from_slice(local.values());
+                copied = start + self.slots[*i].key.len();
+            }
+            succ.extend_from_slice(&parent[copied..]);
+            succs.push((step, StateKey::from_values(succ)));
         }
         Ok(StateExpansion {
             state: key.clone(),
@@ -306,32 +341,39 @@ impl Cursor {
 
     /// Re-syncs every slot against the constraint's actual local state.
     fn resync(&mut self) {
-        let Self {
-            program,
-            spec,
-            slots,
-            memo_hits,
-            memo_misses,
-        } = self;
-        for (i, (slot, c)) in slots.iter_mut().zip(spec.constraints()).enumerate() {
-            tally(
-                refresh(program, i, slot, c.as_ref()),
-                memo_hits,
-                memo_misses,
-            );
+        for i in 0..self.slots.len() {
+            self.refresh(i);
         }
+    }
+
+    /// Brings slot `index` up to date with its constraint's current
+    /// state, lowering the formula only on the program-wide first visit
+    /// of that state, and tallies an L1 hit or miss (nothing when the
+    /// slot was already current).
+    fn refresh(&mut self, index: usize) {
+        let c = self.spec.constraints()[index].as_ref();
+        let key = c.state_key();
+        let slot = &mut self.slots[index];
+        if key == slot.key {
+            return;
+        }
+        self.formulas[index] = if let Some(f) = slot.l1.get(&key) {
+            self.memo_hits += 1;
+            Arc::clone(f)
+        } else {
+            self.memo_misses += 1;
+            let f = self.program.lowered(index, &key, c);
+            slot.l1.insert(key.clone(), Arc::clone(&f));
+            f
+        };
+        slot.key = key;
     }
 }
 
-/// Folds one refresh outcome into the cursor's memo tallies (`None`
-/// means the slot was already current — no cache was consulted).
-#[inline]
-fn tally(outcome: Option<bool>, hits: &mut u64, misses: &mut u64) {
-    match outcome {
-        Some(true) => *hits += 1,
-        Some(false) => *misses += 1,
-        None => {}
-    }
+/// The length prefix [`Specification::state_key`] puts before each
+/// local key.
+fn length_prefix(local: &StateKey) -> i64 {
+    i64::try_from(local.len()).expect("state key length fits i64")
 }
 
 /// One state's outgoing behaviour, as produced by
@@ -367,34 +409,6 @@ impl StateExpansion {
     pub fn is_deadlock(&self) -> bool {
         self.steps.is_empty()
     }
-}
-
-/// Brings `slot` up to date with `c`'s current state, lowering the
-/// formula only on the program-wide first visit of that state.
-/// Returns `Some(true)` on an L1 hit, `Some(false)` when the shared
-/// memo had to be consulted, and `None` when the slot was current.
-fn refresh(
-    program: &Program,
-    index: usize,
-    slot: &mut Slot,
-    c: &dyn moccml_kernel::Constraint,
-) -> Option<bool> {
-    let key = c.state_key();
-    if key == slot.key {
-        return None;
-    }
-    let (formula, hit) = if let Some(f) = slot.l1.get(&key) {
-        (Arc::clone(f), true)
-    } else {
-        let f = program
-            .memo()
-            .get_or_insert(index, &key, || c.current_formula().simplify());
-        slot.l1.insert(key.clone(), Arc::clone(&f));
-        (f, false)
-    };
-    slot.formula = formula;
-    slot.key = key;
-    Some(hit)
 }
 
 #[cfg(test)]

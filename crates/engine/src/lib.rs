@@ -36,8 +36,8 @@
 //! [`ExploreVisitor`] — in canonical order, worker-count-independent —
 //! which is the hook the `moccml-verify` crate checks temporal
 //! properties through on the fly, with deterministic early stop. The
-//! analysis queries ([`dead_events`], [`is_event_live`],
-//! [`live_events`], [`shortest_path_to`], [`deadlock_witness`])
+//! analysis queries ([`dead_events`], [`is_event_fireable`],
+//! [`shortest_path_to`], [`deadlock_witness`])
 //! operate on the explored space.
 //!
 //! ## Example
@@ -103,10 +103,7 @@ mod rng;
 mod simulator;
 mod solver;
 
-pub use analysis::{
-    dead_events, deadlock_witness, is_event_fireable, is_event_live, live_events, shortest_path_to,
-    Witness,
-};
+pub use analysis::{dead_events, deadlock_witness, is_event_fireable, shortest_path_to, Witness};
 pub use cursor::{Cursor, StateExpansion};
 pub use engine::{Engine, EngineBuilder, SimulationReport};
 pub use explorer::{

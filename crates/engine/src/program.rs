@@ -13,11 +13,14 @@
 //! `Send + Sync` and never changes after compilation:
 //!
 //! * the constrained-event list is interned once;
-//! * every constraint's event footprint is precomputed once;
+//! * every constraint's event footprint is precomputed once, and so is
+//!   the solver's static incidence (constrained event → the
+//!   constraints and truth-table columns it touches);
 //! * the `(constraint, local state) → lowered formula` memo lives
 //!   behind interior sharding ([`FormulaMemo`]), so *all* cursors of a
 //!   program — across threads — share every cache hit: a formula is
-//!   lowered exactly once per reached constraint state, program-wide.
+//!   lowered (and, over a small footprint, tabulated) exactly once per
+//!   reached constraint state, program-wide.
 //!
 //! The mutable side is [`Cursor`](crate::Cursor): cheap per-worker run
 //! state created by [`Program::cursor`]. One program can drive any
@@ -26,7 +29,8 @@
 
 use crate::cursor::Cursor;
 use crate::explorer::{explore_program, ExploreOptions, StateSpace};
-use moccml_kernel::{EventId, Specification, StateKey, Step, StepFormula};
+use crate::solver::{Lowered, SearchPlan};
+use moccml_kernel::{Constraint, EventId, Specification, StateKey, Step};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -48,7 +52,7 @@ pub(crate) fn shard_of<K: Hash>(key: &K, shard_count: usize) -> usize {
 }
 
 /// One memo shard: `(constraint index, local state) → lowered formula`.
-type MemoShard = HashMap<(usize, StateKey), Arc<StepFormula>>;
+type MemoShard = HashMap<(usize, StateKey), Arc<Lowered>>;
 
 /// The sharded `(constraint index, local state) → lowered formula`
 /// memo. Shards are plain `Mutex<HashMap>`s: lookups are short, and a
@@ -71,12 +75,12 @@ impl FormulaMemo {
 
     /// Returns the memoised formula for `(slot, key)`, lowering it with
     /// `lower` on the program-wide first visit.
-    pub(crate) fn get_or_insert(
+    fn get_or_insert(
         &self,
         slot: usize,
         key: &StateKey,
-        lower: impl FnOnce() -> StepFormula,
-    ) -> Arc<StepFormula> {
+        lower: impl FnOnce() -> Lowered,
+    ) -> Arc<Lowered> {
         let mut shard = self.shards[shard_of(&(slot, key), self.shards.len())]
             .lock()
             .expect("formula memo shard lock");
@@ -143,9 +147,14 @@ pub struct Program {
     /// Per-constraint event footprints, used by cursors to skip
     /// refreshing constraints a fired step cannot have touched.
     footprints: Vec<Step>,
+    /// The same footprints as ascending event lists: the columns of
+    /// each constraint's truth tables.
+    footprint_events: Vec<Vec<EventId>>,
+    /// The solver's static search plan over `events`.
+    plan: SearchPlan,
     /// Per-constraint `(local state key, lowered formula)` at the
     /// template state — the starting slots of every fresh cursor.
-    initial_slots: Vec<(StateKey, Arc<StepFormula>)>,
+    initial_slots: Vec<(StateKey, Arc<Lowered>)>,
     /// The program-wide sharded formula memo.
     memo: FormulaMemo,
     /// Back-reference to the owning `Arc`, so `cursor(&self)` can hand
@@ -162,13 +171,17 @@ impl Program {
         let keys = spec.constraint_state_keys();
         let formulas = spec.lowered_formulas();
         let footprints = spec.constraint_footprints();
+        let footprint_events: Vec<Vec<EventId>> =
+            footprints.iter().map(|fp| fp.iter().collect()).collect();
+        let plan = SearchPlan::new(&events, &footprint_events);
         let memo = FormulaMemo::new();
-        let initial_slots: Vec<(StateKey, Arc<StepFormula>)> = keys
+        let initial_slots: Vec<(StateKey, Arc<Lowered>)> = keys
             .into_iter()
             .zip(formulas)
             .enumerate()
             .map(|(i, (key, formula))| {
-                let formula = memo.get_or_insert(i, &key, || formula);
+                let formula =
+                    memo.get_or_insert(i, &key, || Lowered::new(formula, &footprint_events[i]));
                 (key, formula)
             })
             .collect();
@@ -177,6 +190,8 @@ impl Program {
             template_key,
             events,
             footprints,
+            footprint_events,
+            plan,
             initial_slots,
             memo,
             self_ref: self_ref.clone(),
@@ -346,13 +361,31 @@ impl Program {
     }
 
     /// The starting slots of a fresh cursor.
-    pub(crate) fn initial_slots(&self) -> &[(StateKey, Arc<StepFormula>)] {
+    pub(crate) fn initial_slots(&self) -> &[(StateKey, Arc<Lowered>)] {
         &self.initial_slots
     }
 
-    /// The program-wide formula memo.
-    pub(crate) fn memo(&self) -> &FormulaMemo {
-        &self.memo
+    /// The solver's search plan over the constrained events.
+    pub(crate) fn plan(&self) -> &SearchPlan {
+        &self.plan
+    }
+
+    /// A search plan over an explicit event list (see
+    /// [`Cursor::acceptable_steps_over`](crate::Cursor::acceptable_steps_over)).
+    pub(crate) fn plan_over(&self, events: &[EventId]) -> SearchPlan {
+        SearchPlan::new(events, &self.footprint_events)
+    }
+
+    /// The memoised formula (and truth table) of constraint `index` in
+    /// local state `key`, lowered from `c` on the program-wide first
+    /// visit.
+    pub(crate) fn lowered(&self, index: usize, key: &StateKey, c: &dyn Constraint) -> Arc<Lowered> {
+        self.memo.get_or_insert(index, key, || {
+            Lowered::new(
+                c.current_formula().simplify(),
+                &self.footprint_events[index],
+            )
+        })
     }
 }
 

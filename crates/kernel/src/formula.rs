@@ -15,7 +15,8 @@ use std::fmt;
 /// Besides full evaluation against a [`Step`], the formula supports
 /// *partial evaluation* against a partial assignment
 /// ([`StepFormula::eval_partial`]), which the step solver uses to prune
-/// the `2^n` search over candidate steps.
+/// the `2^n` search over candidate steps for constraints too wide for
+/// its truth tables.
 ///
 /// # Example
 ///

@@ -21,8 +21,8 @@
 //! * [`StepPred`] — boolean predicates over one step, the atoms the
 //!   verification layer's temporal properties quantify over;
 //! * [`StepFormula`] — boolean formulas over events with full and
-//!   partial evaluation (the engine's solver builds on partial
-//!   evaluation);
+//!   partial evaluation (the engine's solver tabulates small formulas
+//!   and prunes wide ones by partial evaluation);
 //! * [`Constraint`] — the object-safe trait every MoCCML constraint
 //!   (declarative or automata-based) implements: it exposes its current
 //!   per-step formula, advances its internal state when a step fires,

@@ -75,6 +75,19 @@ impl Specification {
         &self.constraints
     }
 
+    /// Mutable access to the constraint at `index` (in installation
+    /// order), so a caller can fire or restore one constraint without
+    /// touching the others. Only sound for steps that miss every other
+    /// constraint's footprint: by the stuttering contract those
+    /// constraints would not have changed state anyway.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn constraint_mut(&mut self, index: usize) -> &mut dyn Constraint {
+        self.constraints[index].as_mut()
+    }
+
     /// Number of installed constraints.
     #[must_use]
     pub fn constraint_count(&self) -> usize {
@@ -361,6 +374,17 @@ mod tests {
         let (mut spec, _) = spec_with_budget(2);
         assert!(spec.restore(&StateKey::new()).is_err());
         assert!(spec.restore(&StateKey::from_values([1, 0, 99])).is_err());
+    }
+
+    #[test]
+    fn constraint_mut_drives_one_constraint() {
+        let (mut spec, e) = spec_with_budget(1);
+        let initial = spec.state_key();
+        let c = spec.constraint_mut(0);
+        c.fire(&Step::from_events([e])).expect("fires");
+        let local = c.state_key();
+        assert_eq!(spec.constraint_state_keys(), vec![local]);
+        assert_ne!(spec.state_key(), initial);
     }
 
     #[test]

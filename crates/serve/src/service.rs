@@ -25,8 +25,9 @@ use crate::protocol::{self, Method, Request};
 use moccml_engine::{ExploreOptions, VisitControl};
 use moccml_obs::Recorder;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Service-wide limits and defaults. Every per-request option is
@@ -377,7 +378,7 @@ impl Service {
     /// The `status` result payload.
     #[must_use]
     pub fn status_json(&self) -> Json {
-        let cache = self.inner.cache.lock().expect("cache lock").stats();
+        let cache = self.inner.cache().stats();
         let (queued, in_flight) = {
             let queue = self.inner.queue.lock().expect("queue lock");
             (queue.jobs.len(), queue.in_flight)
@@ -447,7 +448,7 @@ impl Service {
     /// wraps. Every line passes [`moccml_obs::expose::validate`].
     #[must_use]
     pub fn metrics_text(&self) -> String {
-        let cache = self.inner.cache.lock().expect("cache lock").stats();
+        let cache = self.inner.cache().stats();
         let (queued, in_flight) = {
             let queue = self.inner.queue.lock().expect("queue lock");
             (queue.jobs.len(), queue.in_flight)
@@ -529,7 +530,19 @@ fn worker_loop(inner: &Arc<Inner>) {
         };
         let started = Instant::now();
         let method = job.request.method;
-        let terminal = execute(inner, &job.request, &job.sink);
+        // a panicking job must still settle `in_flight` (or a later
+        // shutdown drain waits forever) and must not take the worker
+        // down with it: it ends in an `error` terminal instead
+        let terminal = catch_unwind(AssertUnwindSafe(|| execute(inner, &job.request, &job.sink)))
+            .unwrap_or_else(|payload| {
+                protocol::error(
+                    &job.request.id,
+                    &format!(
+                        "internal error: the job panicked: {}",
+                        panic_message(&*payload)
+                    ),
+                )
+            });
         // metrics and the id registry settle *before* the terminal
         // event goes out, so a client that saw the result observes the
         // updated `status` and can immediately reuse the id
@@ -551,6 +564,24 @@ fn worker_loop(inner: &Arc<Inner>) {
             queue.in_flight -= 1;
         }
         inner.drain_cv.notify_all();
+    }
+}
+
+/// The message of a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
+impl Inner {
+    /// The compiled-spec cache. A job that panicked while compiling
+    /// under this lock poisons it, but never mid-insert, so the cache
+    /// stays consistent and later jobs keep using it.
+    fn cache(&self) -> MutexGuard<'_, SpecCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -580,7 +611,9 @@ fn execute(inner: &Arc<Inner>, request: &Request, sink: &Arc<dyn EventSink>) -> 
         return protocol::error(id, "request needs a `spec` (the .mcc text)");
     };
     let compiled = {
-        let mut cache = inner.cache.lock().expect("cache lock");
+        #[cfg(test)]
+        assert_ne!(id, tests::PANICKING_JOB, "test hook: a job that panics");
+        let mut cache = inner.cache();
         match cache.get_or_compile(spec) {
             Ok((compiled, _hit)) => compiled,
             Err(e) => {
@@ -744,6 +777,9 @@ fn execute(inner: &Arc<Inner>, request: &Request, sink: &Arc<dyn EventSink>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Jobs with this id panic inside `execute`.
+    pub(super) const PANICKING_JOB: &str = "test-hook-panic";
 
     const ALT: &str = "spec alt {\n  events a, b;\n  constraint alt = alternates(a, b);\n  assert never((a && b));\n  assert never(b);\n}\n";
 
@@ -1086,6 +1122,59 @@ mod tests {
             .expect("msg")
             .contains("shutting down"));
         service.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_job_errors_and_the_service_still_drains() {
+        let service = Service::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let events = service.call(&request(PANICKING_JOB, "check", ALT));
+        let e = terminal(&events, PANICKING_JOB);
+        assert_eq!(e.get("event").and_then(Json::as_str), Some("error"));
+        assert!(
+            e.get("error")
+                .and_then(Json::as_str)
+                .expect("msg")
+                .contains("panicked"),
+            "{e:?}"
+        );
+        // the one worker survived
+        let events = service.call(&request("after", "check", ALT));
+        assert_eq!(
+            terminal(&events, "after")
+                .get("event")
+                .and_then(Json::as_str),
+            Some("result")
+        );
+        // and `in_flight` was released: the shutdown drain, which waits
+        // for it to reach 0, completes instead of waiting forever
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                service.shutdown();
+                let _ = done_tx.send(());
+            });
+            assert!(
+                done_rx.recv_timeout(Duration::from_secs(60)).is_ok(),
+                "shutdown drain hung"
+            );
+        });
+    }
+
+    #[test]
+    fn deeply_nested_lines_get_an_error_envelope() {
+        let service = Service::new(ServiceConfig::default());
+        let deep = "[".repeat(2 << 20);
+        let events = service.call(&deep);
+        let e = terminal(&events, "");
+        assert_eq!(e.get("event").and_then(Json::as_str), Some("error"));
+        let events = service.call(r#"{"id":"st","method":"status"}"#);
+        assert_eq!(
+            terminal(&events, "st").get("event").and_then(Json::as_str),
+            Some("result")
+        );
     }
 
     #[test]

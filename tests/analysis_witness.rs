@@ -5,15 +5,12 @@
 //!   `deadlock_witness` **replays** via `Cursor::fire` from the initial
 //!   state and lands exactly on the reported state;
 //! * `deadlock_witness` schedules end in genuinely wedged states and
-//!   are shortest (length = BFS depth of the nearest deadlock);
-//! * the memoised `live_events` agrees event-by-event with the
-//!   original per-event `is_event_live` reachability scan.
+//!   are shortest (length = BFS depth of the nearest deadlock).
 //!
 //! Runs on the deterministic in-repo `moccml-testkit` harness.
 
 use moccml_engine::{
-    deadlock_witness, is_event_live, live_events, shortest_path_to, ExploreOptions, Program,
-    SolverOptions, StateSpace,
+    deadlock_witness, shortest_path_to, ExploreOptions, Program, SolverOptions, StateSpace,
 };
 use moccml_testkit::{cases, prop_assert, prop_assert_eq};
 use std::sync::Arc;
@@ -118,32 +115,6 @@ fn deadlock_witnesses_replay_into_wedged_states() {
                 );
             }
         }
-        Ok(())
-    });
-}
-
-#[test]
-fn live_events_matches_the_per_event_scan() {
-    cases(CASES).run("live_events_matches_the_per_event_scan", |rng| {
-        let recipes = rng.vec_of(1..6, random_recipe);
-        let spec = build(&recipes);
-        let universe = spec.universe().clone();
-        let space =
-            Program::compile(&spec).explore(&ExploreOptions::default().with_max_states(2_000));
-        let live = live_events(&space, &universe);
-        for e in universe.iter() {
-            prop_assert_eq!(
-                live.contains(&e),
-                is_event_live(&space, e),
-                "event {} (recipes {:?})",
-                e,
-                recipes
-            );
-        }
-        // the memoised result is sorted in universe order by construction
-        let mut sorted = live.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(&live, &sorted, "live_events order");
         Ok(())
     });
 }

@@ -183,3 +183,20 @@ fn timed_agents_never_nest_activations() {
         }
     }
 }
+
+/// The quad-core PAM deployment's scheduling state space is pinned:
+/// 800 states, 5,904 transitions and 5 deadlocks, the same space at one
+/// and at two workers.
+#[test]
+fn pam_quad_core_space_is_pinned() {
+    let (platform, deployment) = moccml_sdf::pam::deployment_quad_core();
+    let spec = moccml_sdf::pam::deployed(&platform, &deployment).expect("deploys");
+    let program = Program::new(spec);
+    let serial = program.explore(&ExploreOptions::default().with_workers(1));
+    assert!(!serial.truncated());
+    assert_eq!(serial.state_count(), 800);
+    assert_eq!(serial.transition_count(), 5_904);
+    assert_eq!(serial.deadlocks().len(), 5);
+    let parallel = program.explore(&ExploreOptions::default().with_workers(2));
+    assert!(serial == parallel, "workers=2 must build the same space");
+}
