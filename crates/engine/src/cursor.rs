@@ -17,12 +17,20 @@
 //! lock-free.
 //!
 //! [`Cursor::expand`] generates successors *touched-only*: it restores
-//! the expanded state once, then per step fires just the constraints
+//! the expanded state once, then per step looks at just the constraints
 //! whose footprint meets the step (every other constraint stutters, by
-//! the [`Constraint`](moccml_kernel::Constraint) contract), splices
-//! their new local keys into the parent key, and restores those
-//! constraints from the saved local keys. It leaves the cursor at the
-//! expanded state.
+//! the [`Constraint`](moccml_kernel::Constraint) contract) and splices
+//! their new local keys into the parent key. Those keys come from the
+//! successor rows of the constraints' memo entries (described in the
+//! `solver` module), indexed by the step's projection onto each
+//! footprint. Only the first expansion program-wide that needs a
+//! row fires the real constraint, checks the step against it, and
+//! restores it from its slot. It leaves the cursor at the expanded
+//! state.
+//!
+//! [`Cursor::restore`] winds back only the constraints whose local
+//! slice of the key differs from their slot, so restoring a neighbour
+//! of the current state touches one or two constraints, not all.
 
 use crate::explorer::{explore_program, ExploreOptions, StateSpace};
 use crate::program::Program;
@@ -76,6 +84,9 @@ pub struct Cursor {
     slots: Vec<Slot>,
     /// Per constraint, the memoised formula of its current state.
     formulas: Vec<Arc<Lowered>>,
+    /// Scratch list of the constraints a [`restore`](Cursor::restore)
+    /// wound back.
+    dirty: Vec<usize>,
     memo_hits: u64,
     memo_misses: u64,
 }
@@ -99,6 +110,7 @@ impl Cursor {
             spec,
             slots,
             formulas,
+            dirty: Vec::new(),
             memo_hits: 0,
             memo_misses: 0,
         }
@@ -194,7 +206,12 @@ impl Cursor {
     /// is then poisoned and the caller should [`reset`](Cursor::reset)
     /// or [`restore`](Cursor::restore).
     pub fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
-        self.spec.fire(step)?;
+        if let Err(e) = self.spec.fire(step) {
+            // some constraints may have advanced: keep the slots honest
+            // so a later `restore` knows which ones to wind back
+            self.resync();
+            return Err(e);
+        }
         for i in 0..self.slots.len() {
             if !self.program.footprints()[i].is_disjoint_from(step) {
                 self.refresh(i);
@@ -210,19 +227,36 @@ impl Cursor {
         self.spec.state_key()
     }
 
-    /// Restores a state produced by [`state_key`](Cursor::state_key)
-    /// and re-syncs every slot whose local state changed. Previously
-    /// visited states hit the cursor's L1 cache (or, first time, the
-    /// program memo), so winding exploration back and forth does not
-    /// re-lower anything.
+    /// Restores a state produced by [`state_key`](Cursor::state_key).
+    /// Only the constraints whose local slice of `key` differs from
+    /// their slot's key are wound back and re-synced; the others
+    /// already sit in that state. Previously visited states hit the
+    /// cursor's L1 cache (or, first time, the program memo), so winding
+    /// exploration back and forth does not re-lower anything.
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::InvalidStateKey`] if the key does not
     /// match the constraint population.
     pub fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
-        self.spec.restore(key)?;
-        self.resync();
+        let Cursor {
+            spec, slots, dirty, ..
+        } = self;
+        dirty.clear();
+        let restored = spec.restore_where(key, |i, local| {
+            let changed = local != slots[i].key.values();
+            if changed {
+                dirty.push(i);
+            }
+            changed
+        });
+        if let Err(e) = restored {
+            self.resync();
+            return Err(e);
+        }
+        for k in 0..self.dirty.len() {
+            self.refresh(self.dirty[k]);
+        }
         Ok(())
     }
 
@@ -260,11 +294,13 @@ impl Cursor {
     /// what the explorer's determinism contract rests on. Each
     /// successor key equals what [`restore`](Cursor::restore) +
     /// [`fire`](Cursor::fire) + [`state_key`](Cursor::state_key) would
-    /// give, but only the constraints whose footprint meets the step are
-    /// fired: every other constraint stutters, by the
-    /// [`Constraint`](moccml_kernel::Constraint) contract. Their new
-    /// local keys are spliced into the parent key, and they are
-    /// restored from the saved local keys. The cursor is left at `key`.
+    /// give. Only the constraints whose footprint meets the step move
+    /// (every other constraint stutters, by the
+    /// [`Constraint`](moccml_kernel::Constraint) contract), and their
+    /// new local keys come from the successor rows of their memoised
+    /// entries, spliced into the parent key. A row is filled on its
+    /// program-wide first use by firing the real constraint and
+    /// restoring it from the slot. The cursor is left at `key`.
     ///
     /// # Errors
     ///
@@ -286,33 +322,40 @@ impl Cursor {
             starts.push(parent.len());
             parent.extend_from_slice(slot.key.values());
         }
-        let mut fired: Vec<(usize, StateKey)> = Vec::new();
+        let Cursor {
+            program,
+            spec,
+            slots,
+            formulas,
+            ..
+        } = self;
+        let footprint_events = program.footprint_events();
         let mut succs = Vec::with_capacity(steps.len());
         for step in steps {
-            fired.clear();
-            for (i, footprint) in self.program.footprints().iter().enumerate() {
+            let mut succ = Vec::with_capacity(parent.len());
+            let mut copied = 0;
+            for (i, footprint) in program.footprints().iter().enumerate() {
                 if footprint.is_disjoint_from(&step) {
                     continue;
                 }
-                let c = self.spec.constraint_mut(i);
-                c.fire(&step).expect("solver returns acceptable steps");
-                fired.push((i, c.state_key()));
-                c.restore(&self.slots[i].key)
-                    .expect("a constraint restores its own key");
-            }
-            let len = fired.iter().fold(parent.len(), |len, (i, local)| {
-                len + local.len() - self.slots[*i].key.len()
-            });
-            let mut succ = Vec::with_capacity(len);
-            let mut copied = 0;
-            for (i, local) in &fired {
-                let start = starts[*i];
-                succ.extend_from_slice(&parent[copied..start - 1]);
-                succ.push(length_prefix(local));
-                succ.extend_from_slice(local.values());
-                copied = start + self.slots[*i].key.len();
+                let slot = &slots[i].key;
+                let fire = || {
+                    let c = spec.constraint_mut(i);
+                    c.fire(&step).expect("solver returns acceptable steps");
+                    let local = c.state_key();
+                    c.restore(slot).expect("a constraint restores its own key");
+                    local
+                };
+                formulas[i].successor(&footprint_events[i], &step, fire, |local| {
+                    succ.extend_from_slice(&parent[copied..starts[i] - 1]);
+                    succ.push(length_prefix(local));
+                    succ.extend_from_slice(local.values());
+                });
+                copied = starts[i] + slot.len();
             }
             succ.extend_from_slice(&parent[copied..]);
+            // exact length: the explorer's arena keeps the key as is
+            succ.shrink_to_fit();
             succs.push((step, StateKey::from_values(succ)));
         }
         Ok(StateExpansion {
@@ -487,6 +530,28 @@ mod tests {
         cursor.fire(&Step::from_events([b])).expect("fires");
         // back to the initial state, which seeded the L1
         assert_eq!(cursor.memo_hits(), 1);
+    }
+
+    #[test]
+    fn restore_after_a_rejected_fire_winds_every_constraint_back() {
+        let mut u = Universe::new();
+        let (a, b) = (u.event("a"), u.event("b"));
+        let mut spec = Specification::new("two", u);
+        spec.add_constraint(Box::new(Precedence::strict("a<b", a, b)));
+        spec.add_constraint(Box::new(Alternation::new("b~a", b, a)));
+        let mut cursor = Program::new(spec).cursor();
+        let start = cursor.state_key();
+        // the precedence advances, then the alternation rejects `{a}`
+        assert!(cursor.fire(&Step::from_events([a])).is_err());
+        assert_ne!(cursor.state_key(), start, "the cursor is poisoned");
+        cursor.restore(&start).expect("own key");
+        assert_eq!(cursor.state_key(), start);
+        let fresh = cursor.program().cursor();
+        let options = SolverOptions::default();
+        assert_eq!(
+            cursor.acceptable_steps(&options),
+            fresh.acceptable_steps(&options)
+        );
     }
 
     #[test]

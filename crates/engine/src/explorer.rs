@@ -533,15 +533,16 @@ impl Interner {
         }
     }
 
-    /// Interns `key`, returning its id and whether it was fresh.
-    fn intern(&self, key: &StateKey) -> (u32, bool) {
-        let fp = fingerprint(key);
+    /// Interns `key`, returning its id and whether it was fresh. A
+    /// fresh key moves into the arena; a known one is dropped.
+    fn intern(&self, key: StateKey) -> (u32, bool) {
+        let fp = fingerprint(&key);
         let s = fp as usize & (INTERNER_SHARDS - 1);
         let mut guard = self.shards[s].lock().expect("interner shard lock");
         let shard = &mut *guard;
         let bucket = shard.buckets.entry(fp).or_default();
         for &slot in bucket.iter() {
-            if shard.keys[slot as usize] == *key {
+            if shard.keys[slot as usize] == key {
                 return (compose_id(s, slot), false);
             }
         }
@@ -553,7 +554,7 @@ impl Interner {
             (slot as u64) < u64::from(u32::MAX) / INTERNER_SHARDS as u64,
             "state arena exceeds u32 id space"
         );
-        shard.keys.push(key.clone());
+        shard.keys.push(key);
         bucket.push(slot);
         self.count.fetch_add(1, Ordering::Relaxed);
         (compose_id(s, slot), true)
@@ -861,7 +862,7 @@ fn expand_record(
     let succs = expansion
         .into_steps()
         .into_iter()
-        .map(|(step, succ)| (step, interner.intern(&succ).0))
+        .map(|(step, succ)| (step, interner.intern(succ).0))
         .collect();
     Record { deadlock, succs }
 }
@@ -1274,7 +1275,7 @@ pub(crate) fn explore_program(
     let solver = options.solver.clone().with_empty(false);
     let workers = options.workers.max(1);
     let interner = Interner::with_capacity(options.max_states);
-    let (root_id, _) = interner.intern(&root);
+    let (root_id, _) = interner.intern(root);
     if let Some(m) = &options.monitor {
         m.begin();
         m.update_interner(interner.len(), interner.bucket_count());
@@ -1876,12 +1877,12 @@ mod tests {
             .collect();
         let mut ids = Vec::new();
         for key in &keys {
-            let (id, fresh) = interner.intern(key);
+            let (id, fresh) = interner.intern(key.clone());
             assert!(fresh, "first intern is fresh");
             ids.push(id);
         }
         for (key, &id) in keys.iter().zip(&ids) {
-            let (again, fresh) = interner.intern(key);
+            let (again, fresh) = interner.intern(key.clone());
             assert!(!fresh, "re-intern is a hit");
             assert_eq!(again, id, "ids are stable");
             assert_eq!(&interner.key(id), key, "arena round-trips the key");

@@ -365,6 +365,12 @@ impl Program {
         &self.initial_slots
     }
 
+    /// The per-constraint footprints as ascending event lists: the
+    /// columns of truth tables and the row numbering of successor rows.
+    pub(crate) fn footprint_events(&self) -> &[Vec<EventId>] {
+        &self.footprint_events
+    }
+
     /// The solver's search plan over the constrained events.
     pub(crate) fn plan(&self) -> &SearchPlan {
         &self.plan

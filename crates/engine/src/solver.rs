@@ -43,10 +43,24 @@
 //! Events are assigned most significant first in the [`Step`] `Ord`
 //! (ascending word, and within a word from the highest id down), absent
 //! branch first, so the leaves come out already sorted.
+//!
+//! # Successor rows
+//!
+//! The same memo entry also keeps the constraint's local transitions.
+//! By the projection rule of [`Constraint`](moccml_kernel::Constraint),
+//! a constraint's next state depends only on its state and on the
+//! step's projection onto its footprint. So an entry whose footprint has
+//! at most [`TABLE_WIDTH`] events gets one successor row per projection,
+//! numbered like the truth table's rows (at most 64); a wider footprint
+//! gets one map keyed by the projection. The rows are allocated on the
+//! first [`Cursor::expand`](crate::Cursor::expand) that needs them and
+//! each row is filled once, program-wide, by firing the real constraint.
+//! Callers that only [`fire`](crate::Cursor::fire) never allocate them.
 
-use moccml_kernel::{EventId, Step, StepFormula, Ternary};
+use moccml_kernel::{EventId, StateKey, Step, StepFormula, Ternary};
 use std::cmp::Reverse;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Options controlling the step enumeration.
 #[derive(Debug, Clone)]
@@ -121,14 +135,33 @@ fn all_rows(width: usize) -> u64 {
     }
 }
 
-/// One memoised `(constraint, local state)` entry: the lowered formula
-/// and, when the constraint's footprint has at most [`TABLE_WIDTH`]
-/// events and the formula mentions no other event, its truth table
-/// over the footprint (see the [module docs](self)).
+/// One memoised `(constraint, local state)` entry: the lowered formula;
+/// when the constraint's footprint has at most [`TABLE_WIDTH`] events
+/// and the formula mentions no other event, its truth table over the
+/// footprint (see the [module docs](self)); and the successor rows
+/// [`Cursor::expand`](crate::Cursor::expand) fills in.
 #[derive(Debug)]
 pub(crate) struct Lowered {
     pub(crate) formula: StepFormula,
     pub(crate) table: Option<u64>,
+    /// Allocated on the first [`successor`](Lowered::successor) query,
+    /// so programs that only fire steps never pay for it.
+    successors: OnceLock<Successors>,
+}
+
+/// The memoised local transitions out of one `(constraint, local
+/// state)` entry: the successor local key per projection of a step onto
+/// the constraint's footprint. By the projection rule of
+/// [`Constraint`](moccml_kernel::Constraint), that projection and the
+/// local state determine the successor.
+#[derive(Debug)]
+enum Successors {
+    /// Footprints of at most [`TABLE_WIDTH`] events: one row per
+    /// projection, numbered like the truth table's rows.
+    Rows(Box<[OnceLock<StateKey>]>),
+    /// Wider footprints: keyed by the projection itself. A row is
+    /// filled outside the map lock, and still only once.
+    Wide(RwLock<HashMap<Step, Arc<OnceLock<StateKey>>>>),
 }
 
 impl Lowered {
@@ -140,7 +173,56 @@ impl Lowered {
         } else {
             None
         };
-        Lowered { formula, table }
+        Lowered {
+            formula,
+            table,
+            successors: OnceLock::new(),
+        }
+    }
+
+    /// Hands `splice` the local key this constraint moves to when
+    /// `step` fires in this entry's state. `footprint` is the
+    /// constraint's footprint in ascending order. On the program-wide
+    /// first query for the step's projection, `fire` computes the key
+    /// (by firing the real constraint) and the answer is kept.
+    pub(crate) fn successor<R>(
+        &self,
+        footprint: &[EventId],
+        step: &Step,
+        fire: impl FnOnce() -> StateKey,
+        splice: impl FnOnce(&StateKey) -> R,
+    ) -> R {
+        let successors = self.successors.get_or_init(|| {
+            if footprint.len() <= TABLE_WIDTH {
+                Successors::Rows((0..1 << footprint.len()).map(|_| OnceLock::new()).collect())
+            } else {
+                Successors::Wide(RwLock::default())
+            }
+        });
+        match successors {
+            Successors::Rows(rows) => {
+                let row = footprint
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &e)| step.contains(e))
+                    .fold(0, |row, (j, _)| row | 1 << j);
+                splice(rows[row].get_or_init(fire))
+            }
+            Successors::Wide(map) => {
+                let projection =
+                    Step::from_events(footprint.iter().copied().filter(|&e| step.contains(e)));
+                let known = map
+                    .read()
+                    .expect("successor map lock")
+                    .get(&projection)
+                    .cloned();
+                let row = known.unwrap_or_else(|| {
+                    let mut map = map.write().expect("successor map lock");
+                    Arc::clone(map.entry(projection).or_default())
+                });
+                splice(row.get_or_init(fire))
+            }
+        }
     }
 }
 

@@ -110,6 +110,18 @@ impl FromIterator<i64> for StateKey {
 /// state unchanged (*stuttering*: a constraint never restricts events it
 /// does not know about).
 ///
+/// They must also obey the *projection rule*: what
+/// [`fire`](Constraint::fire) does depends only on the constraint's
+/// state as captured by [`state_key`](Constraint::state_key) and on the
+/// step's projection onto
+/// [`constrained_events`](Constraint::constrained_events) (the step
+/// intersected with them). Two steps with the same projection, fired
+/// from states with equal keys, must succeed or fail together and reach
+/// states with equal keys. The engine relies on this to memoise each
+/// constraint's local transitions: successor generation fires a
+/// constraint once per `(local state, projection)` pair and looks the
+/// result up afterwards.
+///
 /// Constraints are `Send + Sync`: all mutation goes through `&mut self`
 /// (`fire`/`restore`/`reset`), never interior mutability. This is what
 /// lets the engine share one immutable compiled

@@ -221,9 +221,29 @@ impl Specification {
     /// Returns [`KernelError::InvalidStateKey`] if the key does not match
     /// the current constraint population.
     pub fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
+        self.restore_where(key, |_, _| true)
+    }
+
+    /// Restores a global state like [`restore`](Specification::restore),
+    /// but winds back only the constraints for which
+    /// `needs_restore(index, local values)` returns `true`; the others
+    /// are assumed to sit in that local state already. The key's shape
+    /// is validated in full either way, and errors are reported exactly
+    /// as [`restore`](Specification::restore) reports them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KernelError::InvalidStateKey`] if the key does not match
+    /// the current constraint population; constraints before the bad
+    /// one may already have been restored.
+    pub fn restore_where(
+        &mut self,
+        key: &StateKey,
+        mut needs_restore: impl FnMut(usize, &[i64]) -> bool,
+    ) -> Result<(), KernelError> {
         let values = key.values();
         let mut cursor = 0usize;
-        for c in &mut self.constraints {
+        for (i, c) in self.constraints.iter_mut().enumerate() {
             let len = *values
                 .get(cursor)
                 .ok_or_else(|| KernelError::InvalidStateKey {
@@ -242,7 +262,9 @@ impl Specification {
                     constraint: c.name().to_owned(),
                     reason: "global key too short".to_owned(),
                 })?;
-            c.restore(&StateKey::from_values(slice.iter().copied()))?;
+            if needs_restore(i, slice) {
+                c.restore(&StateKey::from_values(slice.iter().copied()))?;
+            }
             cursor = end;
         }
         if cursor != values.len() {
@@ -367,6 +389,26 @@ mod tests {
         assert_eq!(spec.state_key(), initial);
         spec.restore(&advanced).expect("restores");
         assert_eq!(spec.state_key(), advanced);
+    }
+
+    #[test]
+    fn restore_where_skips_the_constraints_it_is_told_to() {
+        let (mut spec, e) = spec_with_budget(2);
+        let initial = spec.state_key();
+        spec.fire(&Step::from_events([e])).expect("fires");
+        let advanced = spec.state_key();
+        let mut asked = Vec::new();
+        spec.restore_where(&initial, |i, local| {
+            asked.push((i, local.to_vec()));
+            false
+        })
+        .expect("well-formed key");
+        assert_eq!(asked, vec![(0, vec![0])]);
+        assert_eq!(spec.state_key(), advanced, "nothing was wound back");
+        spec.restore_where(&initial, |_, _| true).expect("restores");
+        assert_eq!(spec.state_key(), initial);
+        // the shape is still checked for skipped constraints
+        assert!(spec.restore_where(&StateKey::new(), |_, _| false).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! still compiles.
 
 use moccml_lang::{parse_spec, Compiled, LangError};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Aggregate cache counters, surfaced by the `status` method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -38,10 +38,23 @@ struct Entry {
     last_used: u64,
 }
 
+/// What a [`SpecCache::lookup`] found.
+#[derive(Debug)]
+pub enum Lookup {
+    /// Cached (counted as a hit).
+    Hit(Compiled),
+    /// Absent; the caller now compiles it.
+    Miss,
+    /// Absent, and another caller is compiling it.
+    Compiling,
+}
+
 /// An LRU cache of compiled specifications, keyed by canonical form.
 pub struct SpecCache {
     capacity: usize,
     entries: HashMap<String, Entry>,
+    /// Keys some caller is compiling right now.
+    compiling: HashSet<String>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -55,6 +68,7 @@ impl SpecCache {
         SpecCache {
             capacity,
             entries: HashMap::new(),
+            compiling: HashSet::new(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -66,25 +80,79 @@ impl SpecCache {
     /// compilation or compiles and caches it. The boolean is `true` on
     /// a cache hit.
     ///
+    /// This is [`canonical_key`](SpecCache::canonical_key) +
+    /// [`lookup`](SpecCache::lookup) + [`compile`](SpecCache::compile) +
+    /// [`insert`](SpecCache::insert) in one call. A service sharing the
+    /// cache between threads calls the pieces itself, so it can parse
+    /// and compile without holding the cache lock.
+    ///
     /// # Errors
     ///
     /// Returns the frontend's [`LangError`] when the source does not
     /// parse or compile; failures are never cached.
     pub fn get_or_compile(&mut self, source: &str) -> Result<(Compiled, bool), LangError> {
-        let ast = parse_spec(source)?;
-        let key = ast.to_text();
-        self.clock += 1;
-        if let Some(entry) = self.entries.get_mut(&key) {
+        let key = Self::canonical_key(source)?;
+        match self.lookup(&key) {
+            Lookup::Hit(compiled) => Ok((compiled, true)),
+            Lookup::Miss | Lookup::Compiling => match Self::compile(&key) {
+                Ok(compiled) => Ok((self.insert(key, compiled), false)),
+                Err(e) => {
+                    self.abandon(&key);
+                    Err(e)
+                }
+            },
+        }
+    }
+
+    /// The cache key of `source`: its canonical pretty-printed form.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parse error when `source` is not valid `.mcc`.
+    pub fn canonical_key(source: &str) -> Result<String, LangError> {
+        Ok(parse_spec(source)?.to_text())
+    }
+
+    /// Compiles a canonical key. Compiling from the canonical text keeps
+    /// diagnostics and the cached program independent of the original
+    /// formatting.
+    ///
+    /// # Errors
+    ///
+    /// Returns the frontend's [`LangError`] when the spec does not
+    /// compile.
+    pub fn compile(key: &str) -> Result<Compiled, LangError> {
+        moccml_lang::compile_str(key)
+    }
+
+    /// Looks `key` up. A hit is counted and made most recently used. On
+    /// a [`Lookup::Miss`] the caller takes over compiling `key` and must
+    /// end with [`insert`](SpecCache::insert) or
+    /// [`abandon`](SpecCache::abandon); until then other callers see
+    /// [`Lookup::Compiling`] and should wait and look up again, so one
+    /// spec compiles once however many jobs ask for it at the same time.
+    pub fn lookup(&mut self, key: &str) -> Lookup {
+        if let Some(entry) = self.entries.get_mut(key) {
+            self.clock += 1;
             entry.last_used = self.clock;
             self.hits += 1;
-            return Ok((entry.compiled.clone(), true));
+            return Lookup::Hit(entry.compiled.clone());
         }
-        // compile from the canonical text so diagnostics and the cached
-        // program are independent of the original formatting
-        let compiled = moccml_lang::compile_str(&key)?;
+        if self.compiling.insert(key.to_owned()) {
+            Lookup::Miss
+        } else {
+            Lookup::Compiling
+        }
+    }
+
+    /// Caches the compilation of `key` after a [`Lookup::Miss`],
+    /// counting the miss, and returns it.
+    pub fn insert(&mut self, key: String, compiled: Compiled) -> Compiled {
+        self.compiling.remove(&key);
+        self.clock += 1;
         self.misses += 1;
         if self.capacity == 0 {
-            return Ok((compiled, false));
+            return compiled;
         }
         if self.entries.len() >= self.capacity {
             self.evict_lru();
@@ -96,7 +164,13 @@ impl SpecCache {
                 last_used: self.clock,
             },
         );
-        Ok((compiled, false))
+        compiled
+    }
+
+    /// Gives up compiling `key` after a [`Lookup::Miss`] (the spec did
+    /// not compile); nothing is cached or counted.
+    pub fn abandon(&mut self, key: &str) {
+        self.compiling.remove(key);
     }
 
     /// Evicts the least-recently-used entry (linear scan: capacities
@@ -120,7 +194,7 @@ impl SpecCache {
     ///
     /// Returns the parse error when `source` is not valid `.mcc`.
     pub fn peek(&self, source: &str) -> Result<bool, LangError> {
-        let key = parse_spec(source)?.to_text();
+        let key = Self::canonical_key(source)?;
         Ok(self.entries.contains_key(&key))
     }
 
@@ -194,6 +268,34 @@ mod tests {
         assert!(!hit);
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.misses, stats.evictions), (0, 2, 0));
+    }
+
+    #[test]
+    fn a_key_compiles_once_while_others_wait() {
+        let mut cache = SpecCache::new(4);
+        let key = SpecCache::canonical_key(&spec("s")).expect("parses");
+        assert!(matches!(cache.lookup(&key), Lookup::Miss));
+        // a second job asking meanwhile is told to wait, uncounted
+        assert!(matches!(cache.lookup(&key), Lookup::Compiling));
+        let compiled = SpecCache::compile(&key).expect("compiles");
+        let kept = cache.insert(key.clone(), compiled);
+        let Lookup::Hit(shared) = cache.lookup(&key) else {
+            panic!("cached after insert");
+        };
+        assert!(std::sync::Arc::ptr_eq(&kept.program, &shared.program));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (1, 1, 1));
+    }
+
+    #[test]
+    fn abandoned_compiles_let_the_next_caller_retry() {
+        let mut cache = SpecCache::new(4);
+        let key = SpecCache::canonical_key(&spec("s")).expect("parses");
+        assert!(matches!(cache.lookup(&key), Lookup::Miss));
+        cache.abandon(&key);
+        assert!(matches!(cache.lookup(&key), Lookup::Miss));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (0, 0, 0));
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub mod protocol;
 pub mod server;
 pub mod service;
 
-pub use cache::{CacheStats, SpecCache};
+pub use cache::{CacheStats, Lookup, SpecCache};
 pub use json::{Json, JsonError};
 pub use protocol::{Method, Request, RequestOptions};
 pub use service::{CollectingSink, Dispatch, EventSink, Service, ServiceConfig};

@@ -25,6 +25,74 @@ use std::sync::{Arc, Mutex};
 /// The default listen address of `moccml serve`.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7315";
 
+/// The longest request line the daemon reads, in bytes (newline
+/// excluded). A longer line is answered with one `error` event and the
+/// rest of it is discarded unread into memory; the connection keeps
+/// answering. Real request lines are a few kilobytes at most.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// One request line read from a connection.
+#[derive(Debug, PartialEq, Eq)]
+enum Line {
+    /// A complete line, newline (and a trailing `\r`) stripped.
+    Text(String),
+    /// A line that is not valid UTF-8.
+    NotUtf8,
+    /// A line longer than the cap; its bytes were discarded.
+    TooLong,
+}
+
+/// Reads the next line of at most `cap` bytes from `reader`, reusing
+/// `buf`. Returns `None` at end of stream (a final unterminated line is
+/// still returned). Never buffers more than `cap` bytes of one line.
+fn read_capped_line(
+    reader: &mut impl BufRead,
+    cap: usize,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<Option<Line>> {
+    buf.clear();
+    let mut too_long = false;
+    let mut read_any = false;
+    loop {
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            if !read_any {
+                return Ok(None);
+            }
+            break;
+        }
+        read_any = true;
+        let newline = available.iter().position(|&b| b == b'\n');
+        let chunk = &available[..newline.unwrap_or(available.len())];
+        if !too_long && buf.len() + chunk.len() > cap {
+            too_long = true;
+            buf.clear();
+        }
+        if !too_long {
+            buf.extend_from_slice(chunk);
+        }
+        let used = newline.map_or(chunk.len(), |n| n + 1);
+        reader.consume(used);
+        if newline.is_some() {
+            break;
+        }
+    }
+    if too_long {
+        return Ok(Some(Line::TooLong));
+    }
+    if buf.last() == Some(&b'\r') {
+        buf.pop();
+    }
+    Ok(Some(match std::str::from_utf8(buf) {
+        Ok(text) => Line::Text(text.to_owned()),
+        Err(_) => Line::NotUtf8,
+    }))
+}
+
 /// An [`EventSink`] writing one event per line to a TCP stream. Write
 /// failures (client hung up mid-job) latch the sink shut instead of
 /// failing the job.
@@ -115,9 +183,21 @@ fn handle_connection(
         return;
     };
     let sink: Arc<dyn EventSink> = Arc::new(LineSink::new(write_half));
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    while let Ok(Some(line)) = read_capped_line(&mut reader, MAX_LINE_BYTES, &mut buf) {
+        let line = match line {
+            Line::Text(line) => line,
+            Line::NotUtf8 => {
+                sink.emit(&protocol::error("", "request line is not valid UTF-8"));
+                continue;
+            }
+            Line::TooLong => {
+                let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                sink.emit(&protocol::error("", &message));
+                continue;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -216,6 +296,53 @@ mod tests {
             }
         }
         events
+    }
+
+    #[test]
+    fn capped_lines_split_strip_and_discard() {
+        let input: &[u8] = b"ab\r\ntoolong\nok\n\xff\nlast";
+        let mut reader = BufReader::with_capacity(3, input);
+        let mut buf = Vec::new();
+        let mut next = || read_capped_line(&mut reader, 4, &mut buf).expect("reads");
+        assert_eq!(next(), Some(Line::Text("ab".to_owned())));
+        assert_eq!(next(), Some(Line::TooLong));
+        assert_eq!(next(), Some(Line::Text("ok".to_owned())));
+        assert_eq!(next(), Some(Line::NotUtf8));
+        assert_eq!(next(), Some(Line::Text("last".to_owned())));
+        assert_eq!(next(), None);
+        assert!(buf.capacity() <= 8, "never buffers past the cap");
+    }
+
+    #[test]
+    fn over_long_line_gets_one_error_and_the_connection_keeps_answering() {
+        let (addr, handle) = boot();
+        // nested JSON twice the cap: rejected for its length, unparsed
+        let huge = "[".repeat(2 * MAX_LINE_BYTES);
+        let status = r#"{"id":"s1","method":"status"}"#.to_owned();
+        let events = send_lines(&addr, &[huge, status]);
+        let kinds: Vec<(&str, &str)> = events
+            .iter()
+            .map(|e| {
+                (
+                    e.get("event").and_then(Json::as_str).unwrap_or(""),
+                    e.get("id").and_then(Json::as_str).unwrap_or(""),
+                )
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![("error", ""), ("accepted", "s1"), ("result", "s1")]
+        );
+        let message = events[0].get("error").and_then(Json::as_str);
+        assert_eq!(
+            message,
+            Some(format!("request line exceeds {MAX_LINE_BYTES} bytes").as_str())
+        );
+        let bye = send_lines(&addr, &[r#"{"id":"bye","method":"shutdown"}"#.to_owned()]);
+        assert!(bye
+            .iter()
+            .any(|e| e.get("event").and_then(Json::as_str) == Some("result")));
+        handle.join().expect("accept loop exits");
     }
 
     #[test]

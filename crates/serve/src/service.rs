@@ -17,12 +17,13 @@
 //! exploration at the next checkpoint without poisoning the worker:
 //! the worker thread survives and picks up the next job.
 
-use crate::cache::{CacheStats, SpecCache};
+use crate::cache::{CacheStats, Lookup, SpecCache};
 use crate::json::Json;
 use crate::metrics::{self, Histogram};
 use crate::ops;
 use crate::protocol::{self, Method, Request};
 use moccml_engine::{ExploreOptions, VisitControl};
+use moccml_lang::{Compiled, LangError};
 use moccml_obs::Recorder;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -169,6 +170,8 @@ struct JobState {
 struct Inner {
     config: ServiceConfig,
     cache: Mutex<SpecCache>,
+    /// Signalled whenever a job finishes compiling a cache key.
+    cache_cv: Condvar,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
     drain_cv: Condvar,
@@ -195,6 +198,7 @@ impl Service {
         let worker_count = config.workers.max(1);
         let inner = Arc::new(Inner {
             cache: Mutex::new(SpecCache::new(config.cache_capacity)),
+            cache_cv: Condvar::new(),
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 in_flight: 0,
@@ -577,11 +581,61 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 impl Inner {
-    /// The compiled-spec cache. A job that panicked while compiling
-    /// under this lock poisons it, but never mid-insert, so the cache
-    /// stays consistent and later jobs keep using it.
+    /// The compilation of the canonical spec text `key`, from the cache
+    /// or compiled now without holding the cache lock. While one job
+    /// compiles a key, other jobs asking for it wait and then hit, as
+    /// if the compile had run under the lock.
+    fn compiled(&self, key: String) -> Result<Compiled, LangError> {
+        let mut cache = self.cache();
+        loop {
+            match cache.lookup(&key) {
+                Lookup::Hit(compiled) => return Ok(compiled),
+                Lookup::Compiling => {
+                    cache = self
+                        .cache_cv
+                        .wait(cache)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                Lookup::Miss => break,
+            }
+        }
+        drop(cache);
+        // the claim wakes the waiting jobs on every exit: after the
+        // insert, on a compile error, and on a panic (then releasing
+        // the key, so they retry instead of waiting forever)
+        let mut claim = CompileClaim {
+            inner: self,
+            key: Some(key),
+        };
+        let compiled = SpecCache::compile(claim.key.as_deref().expect("claimed key"))?;
+        let key = claim.key.take().expect("claimed key");
+        let compiled = self.cache().insert(key, compiled);
+        Ok(compiled)
+    }
+
+    /// The compiled-spec cache. Jobs parse and compile outside this
+    /// lock and hold it only to look up or insert, so it is never
+    /// poisoned mid-update; a poisoned lock is still taken over, and
+    /// later jobs keep using the cache.
     fn cache(&self) -> MutexGuard<'_, SpecCache> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A job's claim on compiling one cache key, taken on a
+/// [`Lookup::Miss`]. Dropping it wakes the jobs waiting for the key and,
+/// unless the key was inserted (`key` taken), releases it.
+struct CompileClaim<'a> {
+    inner: &'a Inner,
+    key: Option<String>,
+}
+
+impl Drop for CompileClaim<'_> {
+    fn drop(&mut self) {
+        if let Some(key) = self.key.take() {
+            self.inner.cache().abandon(&key);
+        }
+        self.inner.cache_cv.notify_all();
     }
 }
 
@@ -613,9 +667,11 @@ fn execute(inner: &Arc<Inner>, request: &Request, sink: &Arc<dyn EventSink>) -> 
     let compiled = {
         #[cfg(test)]
         assert_ne!(id, tests::PANICKING_JOB, "test hook: a job that panics");
-        let mut cache = inner.cache();
-        match cache.get_or_compile(spec) {
-            Ok((compiled, _hit)) => compiled,
+        // parse and compile outside the cache lock, so a slow compile
+        // blocks neither other jobs nor `status`/`metrics`
+        let looked_up = SpecCache::canonical_key(spec).and_then(|key| inner.compiled(key));
+        match looked_up {
+            Ok(compiled) => compiled,
             Err(e) => {
                 let (line, column) = e.position();
                 return protocol::error(id, &format!("spec:{line}:{column}: {e}"));
@@ -890,6 +946,37 @@ mod tests {
             Some("explore")
         );
         assert_eq!(methods[0].get("count").and_then(Json::as_i64), Some(2));
+    }
+
+    #[test]
+    fn status_answers_while_a_spec_compiles_and_waiters_then_hit() {
+        let service = Service::new(ServiceConfig::default());
+        let cache_stats = |service: &Service, id: &str| {
+            let events = service.call(&format!(r#"{{"id":"{id}","method":"status"}}"#));
+            let payload = terminal(&events, id)
+                .get("result")
+                .cloned()
+                .expect("payload");
+            let cache = payload.get("cache").cloned().expect("cache");
+            let count = |name: &str| cache.get(name).and_then(Json::as_i64);
+            (count("hits"), count("misses"))
+        };
+        // stand in for a job that is still compiling ALT
+        let key = SpecCache::canonical_key(ALT).expect("parses");
+        assert!(matches!(service.inner.cache().lookup(&key), Lookup::Miss));
+        std::thread::scope(|s| {
+            let job = s.spawn(|| service.call(&request("r1", "explore", ALT)));
+            // the cache lock is free: status answers mid-compile
+            assert_eq!(cache_stats(&service, "s1"), (Some(0), Some(0)));
+            let compiled = SpecCache::compile(&key).expect("compiles");
+            service.inner.cache().insert(key, compiled);
+            service.inner.cache_cv.notify_all();
+            let events = job.join().expect("job thread");
+            let result = terminal(&events, "r1");
+            assert_eq!(result.get("event").and_then(Json::as_str), Some("result"));
+        });
+        // the waiting job reused the one compilation
+        assert_eq!(cache_stats(&service, "s2"), (Some(1), Some(1)));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! suites (`tests/explore_parallel.rs`, `tests/verify_properties.rs`,
 //! `tests/analysis_witness.rs`), and the random `.mcc` AST generators
 //! used by the frontend and analyzer suites (`tests/lang_roundtrip.rs`,
-//! `tests/analyze_properties.rs`, `tests/slice_properties.rs`). One
-//! copy, so a change to the constraint pool or the generator weights
-//! reaches every suite.
+//! `tests/analyze_properties.rs`, `tests/slice_properties.rs`,
+//! `tests/solver_equivalence.rs`). One copy, so a change to the
+//! constraint pool or the generator weights reaches every suite.
 //!
 //! Not a test target itself — Cargo treats `tests/common/mod.rs` as a
 //! plain module each suite pulls in with `mod common;`.
@@ -317,6 +317,24 @@ pub fn random_spec(rng: &mut TestRng) -> SpecAst {
     }
     SpecAst {
         name: "random".to_owned(),
+        items,
+    }
+}
+
+/// A random, always-compilable specification AST that always
+/// instantiates the user automaton of [`random_library_items`] next to
+/// up to three built-ins, and asserts nothing.
+pub fn random_spec_with_automata(rng: &mut TestRng) -> SpecAst {
+    let mut items = vec![Item::Events(
+        (0..EVENTS).map(|i| name(&format!("e{i}"))).collect(),
+    )];
+    let constraint_count = rng.usize_in(0..4);
+    for i in 0..constraint_count {
+        items.push(Item::Constraint(random_builtin(rng, i)));
+    }
+    items.extend(random_library_items(rng, constraint_count));
+    SpecAst {
+        name: "automata".to_owned(),
         items,
     }
 }

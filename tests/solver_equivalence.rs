@@ -1,8 +1,9 @@
 //! Property-based equivalence of the truth-table step solver against
 //! the naive `2^n` enumeration, over randomly generated constraint sets
-//! — the correctness side of the B3 ablation — plus the touched-only
-//! successor generation of `Cursor::expand` against restore + fire +
-//! `state_key`.
+//! — the correctness side of the B3 ablation — plus the touched-only,
+//! memoised successor generation of `Cursor::expand` against restore +
+//! fire + `state_key` on a bare `Specification`, over these random
+//! specs and over `.mcc` specs with user automata.
 //!
 //! The random specifications draw from eleven events spread over three
 //! `Step` words (ids 0 to 139), so the search order has to reproduce
@@ -13,9 +14,15 @@
 //! Deterministic in-repo `moccml-testkit` harness at 96 cases per
 //! property; failures report a replayable case seed.
 
+mod common;
+
+use common::random_spec_with_automata;
+use moccml::lang::compile;
 use moccml_ccsl::{Alternation, Coincidence, Exclusion, Precedence, SubClock, Union};
-use moccml_engine::{Cursor, Program, SolverOptions};
-use moccml_kernel::{Constraint, EventId, Specification, Step, Universe};
+use moccml_engine::{Cursor, ExploreOptions, Program, SolverOptions};
+use moccml_kernel::{
+    Constraint, EventId, KernelError, Specification, StateKey, Step, StepFormula, Universe,
+};
 use moccml_testkit::{cases, prop_assert, prop_assert_eq, TestRng};
 
 const CASES: usize = 96;
@@ -43,6 +50,8 @@ enum Recipe {
     Excl(Vec<u8>),
     /// `result = union(operands)` over 2–8 distinct events in all.
     Union(Vec<u8>),
+    /// [`NoRepeat`] over 2–8 distinct events.
+    NoRepeat(Vec<u8>),
 }
 
 /// `k` distinct pool indices.
@@ -68,10 +77,79 @@ fn random_recipe(rng: &mut TestRng) -> Recipe {
             let k = rng.usize_in(2..9);
             Recipe::Excl(distinct(rng, k))
         }
-        _ => {
+        5 => {
             let k = rng.usize_in(2..9);
             Recipe::Union(distinct(rng, k))
         }
+        _ => {
+            let k = rng.usize_in(2..9);
+            Recipe::NoRepeat(distinct(rng, k))
+        }
+    }
+}
+
+/// A stateful constraint over any number of events: it remembers which
+/// of its events occurred in the last step that touched it, and
+/// forbids the next touching step from repeating exactly that set. Its
+/// successor depends on the whole projection of a step onto its
+/// footprint, so over 7 or 8 events it exercises the wide successor map
+/// with distinct rows (the built-in wide constraints are stateless).
+#[derive(Debug, Clone)]
+struct NoRepeat {
+    name: String,
+    events: Vec<EventId>,
+    last: Step,
+}
+
+impl Constraint for NoRepeat {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn constrained_events(&self) -> Vec<EventId> {
+        self.events.clone()
+    }
+    fn current_formula(&self) -> StepFormula {
+        if self.last.is_empty() {
+            return StepFormula::True;
+        }
+        let repeat = self.events.iter().map(|&e| {
+            if self.last.contains(e) {
+                StepFormula::event(e)
+            } else {
+                StepFormula::not(StepFormula::event(e))
+            }
+        });
+        StepFormula::not(StepFormula::and(repeat.collect()))
+    }
+    fn fire(&mut self, step: &Step) -> Result<(), KernelError> {
+        if !self.current_formula().eval(step) {
+            return Err(KernelError::StepRejected {
+                constraint: self.name.clone(),
+                step: step.to_string(),
+            });
+        }
+        let touched = Step::from_events(self.events.iter().copied().filter(|&e| step.contains(e)));
+        if !touched.is_empty() {
+            self.last = touched;
+        }
+        Ok(())
+    }
+    fn state_key(&self) -> StateKey {
+        self.last.iter().map(|e| e.index() as i64).collect()
+    }
+    fn restore(&mut self, key: &StateKey) -> Result<(), KernelError> {
+        self.last = key
+            .values()
+            .iter()
+            .map(|&i| EventId::from_index(i as usize))
+            .collect();
+        Ok(())
+    }
+    fn reset(&mut self) {
+        self.last = Step::new();
+    }
+    fn boxed_clone(&self) -> Box<dyn Constraint> {
+        Box::new(self.clone())
     }
 }
 
@@ -109,6 +187,11 @@ fn build(recipes: &[Recipe]) -> Specification {
                 event(es[0]),
                 es[1..].iter().map(|&e| event(e)),
             ))),
+            Recipe::NoRepeat(es) => Some(Box::new(NoRepeat {
+                name,
+                events: es.iter().map(|&e| event(e)).collect(),
+                last: Step::new(),
+            })),
             _ => None, // degenerate draws are skipped
         };
         if let Some(c) = c {
@@ -237,10 +320,47 @@ fn enumerated_steps_are_accepted() {
     });
 }
 
-/// `Cursor::expand` — which fires only the constraints a step touches
-/// and splices their keys into the parent key — yields exactly the
-/// successors of restore + fire + `state_key`, and leaves the cursor at
-/// the expanded state.
+/// Checks `expander.expand(key)` against a bare [`Specification`]
+/// cloned from the program's template: every expanded step is accepted
+/// there, the steps are what a fresh cursor enumerates, and each
+/// successor is what restore + fire + `state_key` on the bare
+/// specification gives. Also checks the cursor is left at `key`.
+fn expand_matches_bare_spec(
+    program: &Program,
+    expander: &mut Cursor,
+    key: &StateKey,
+    ctx: &str,
+) -> Result<(), String> {
+    let options = SolverOptions::default();
+    let expansion = expander.expand(key, &options).expect("own key");
+    prop_assert_eq!(expansion.state(), key, "{ctx}");
+    prop_assert_eq!(
+        expander.state_key(),
+        key.clone(),
+        "cursor left at key: {ctx}"
+    );
+    let mut reference = program.cursor();
+    reference.restore(key).expect("own key");
+    let steps = reference.acceptable_steps(&options);
+    prop_assert_eq!(expansion.steps().len(), steps.len(), "{ctx}");
+    let mut bare = program.specification().clone();
+    for ((step, succ), expected) in expansion.steps().iter().zip(&steps) {
+        prop_assert_eq!(step, expected, "{ctx}");
+        bare.restore(key).expect("own key");
+        prop_assert!(bare.accepts(step), "{step} accepted: {ctx}");
+        bare.fire(step).expect("acceptable");
+        prop_assert_eq!(succ, &bare.state_key(), "successor of {step}: {ctx}");
+    }
+    Ok(())
+}
+
+/// `Cursor::expand` — which moves only the constraints a step touches,
+/// taking their successor keys from the memoised successor rows, and
+/// splices those keys into the parent key — yields exactly the
+/// successors of restore + fire + `state_key` on a bare
+/// `Specification`, and leaves the cursor at the expanded state. The
+/// expander persists along the walk, so later depths run on a warm
+/// memo.
 #[test]
 fn expand_equals_restore_fire_state_key() {
     cases(CASES).run("expand_equals_restore_fire_state_key", |rng| {
@@ -248,31 +368,35 @@ fn expand_equals_restore_fire_state_key() {
         let program = Program::new(build(&recipes));
         let mut walker = program.cursor();
         let mut expander = program.cursor();
-        let mut reference = program.cursor();
-        let options = SolverOptions::default();
         for depth in 0..=WALK {
             let ctx = format!("depth {depth}, recipes: {recipes:?}");
-            let key = walker.state_key();
-            let expansion = expander.expand(&key, &options).expect("own key");
-            prop_assert_eq!(expansion.state(), &key, "{ctx}");
-            prop_assert_eq!(
-                expander.state_key(),
-                key.clone(),
-                "cursor left at key: {ctx}"
-            );
-            reference.restore(&key).expect("own key");
-            let steps = reference.acceptable_steps(&options);
-            prop_assert_eq!(expansion.steps().len(), steps.len(), "{ctx}");
-            for ((step, succ), expected) in expansion.steps().iter().zip(&steps) {
-                prop_assert_eq!(step, expected, "{ctx}");
-                reference.restore(&key).expect("own key");
-                reference.fire(step).expect("acceptable");
-                prop_assert_eq!(succ, &reference.state_key(), "successor of {step}: {ctx}");
-            }
+            expand_matches_bare_spec(&program, &mut expander, &walker.state_key(), &ctx)?;
             if !walk(&mut walker, rng) {
                 break;
             }
         }
         Ok(())
     });
+}
+
+/// The same check over `.mcc` specifications that instantiate a user
+/// constraint automaton (the Fig. 3 place, with a guarded counter)
+/// beside random built-ins, on every state of a bounded exploration.
+#[test]
+fn expand_equals_bare_spec_on_lang_specs_with_automata() {
+    cases(CASES / 2).run(
+        "expand_equals_bare_spec_on_lang_specs_with_automata",
+        |rng| {
+            let ast = random_spec_with_automata(rng);
+            let compiled = compile(&ast).map_err(|e| format!("compiles: {e}"))?;
+            let program = compiled.program;
+            let space = program.explore(&ExploreOptions::default().with_max_states(64));
+            let mut expander = program.cursor();
+            for (i, key) in space.states().iter().enumerate() {
+                let ctx = format!("state {i} of\n{}", ast.to_text());
+                expand_matches_bare_spec(&program, &mut expander, key, &ctx)?;
+            }
+            Ok(())
+        },
+    );
 }
